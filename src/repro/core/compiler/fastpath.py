@@ -1052,45 +1052,6 @@ class DecisionKernel:
             self.memo[codes] = entry
         return entry
 
-    def decide_batch(self, *feature_codes):
-        """Vectorized premise processing: one gather over the dense
-        rule table for a whole batch of decisions.
-
-        Each positional argument is an integer array of feature codes
-        for one premise feature, in declaration order — e.g. for a
-        two-feature base ``decide_batch(dest_idx, state_idx)``.  All
-        arrays must share a length ``n``; element ``i`` of the returned
-        int32 array equals :meth:`entry` for the environment whose
-        feature-code tuple is ``(feature_codes[0][i], ...)`` (gaps come
-        back as ``NO_RULE``, exactly like the scalar path's table
-        read).  This is the entry point batched simulation engines use
-        to resolve many routing decisions without per-decision Python
-        dispatch; codes outside a feature's domain are rejected rather
-        than silently aliased into a neighbouring table row.
-        """
-        import numpy as np
-
-        table = self.base.table
-        if table is None:
-            raise EvalError(f"rule base {self.base.name!r} was compiled "
-                            f"without a materialized table; recompile "
-                            f"with materialize=True to execute it")
-        if len(feature_codes) != len(self.strides):
-            raise EvalError(f"rule base {self.base.name!r} has "
-                            f"{len(self.strides)} premise features, got "
-                            f"{len(feature_codes)} code arrays")
-        idx = None
-        for col, (codes, feat, stride) in enumerate(zip(
-                feature_codes, self.base.analysis.features, self.strides)):
-            codes = np.asarray(codes, dtype=np.int64)
-            if codes.size and (codes.min() < 0
-                               or codes.max() >= feat.size):
-                raise EvalError(f"rule base {self.base.name!r}: feature "
-                                f"{col} codes out of range "
-                                f"[0, {feat.size})")
-            idx = codes * stride if idx is None else idx + codes * stride
-        return table[idx].astype(np.int32, copy=False)
-
     # -- conclusion processing ----------------------------------------------
 
     def conclusion(self, entry: int) -> _Conclusion:

@@ -29,14 +29,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 #: refresh hints: what re-routing a *blocked* head would do while the
-#: route epoch and the header fields are unchanged.  REROUTE (the safe
-#: default) re-enters ``route``; RESORT promises the same candidate set
-#: re-sorted by (output_load, port, vc); STATIC promises the identical
-#: decision.  The object engine ignores the hint (it always re-routes);
-#: the batched engine uses it to refresh blocked worms in its arrays.
+#: route epoch, the physical link state and the header fields are
+#: unchanged.  REROUTE (the safe default) re-enters ``route``; RESORT
+#: promises the same candidate set re-sorted by (output_load, port,
+#: vc); STATIC promises the identical decision; PICK promises that the
+#: single candidate is the least-loaded member of the fixed
+#: ``RouteDecision.pool``, ordered by (output_load, port, vc) — a
+#: RESORT over the pool cut to one candidate (a rule program's
+#: "minimum selection" FCFB over live loads).  The object engine
+#: ignores the hint (it always re-routes); the batched engine uses it
+#: to refresh blocked worms in its arrays and to replay cached
+#: decisions.  Its C kernel relies on the numbering: the hints that
+#: re-sort by load, RESORT and PICK, are the odd ones.
 REFRESH_REROUTE = 0
 REFRESH_RESORT = 1
 REFRESH_STATIC = 2
+REFRESH_PICK = 3
 
 
 @dataclass
@@ -50,6 +58,9 @@ class RouteDecision:
     #                           (a Condition-3 violation; the network
     #                           drops the message and counts it)
     refresh_hint: int = REFRESH_REROUTE  # see the module constants
+    #: the (port, vc) pool a REFRESH_PICK decision picked from; empty
+    #: for every other hint (the object engine never reads it)
+    pool: tuple[tuple[int, int], ...] = ()
 
     @classmethod
     def delivery(cls, steps: int = 1) -> "RouteDecision":
@@ -91,12 +102,13 @@ class RoutingAlgorithm:
     #: fresh decision enters Python).  A tuple of at most 5 header
     #: field names covering BOTH every field ``route`` reads and every
     #: field it writes — a superset of ``cache_mutable_fields``.
-    #: Declaring it asserts that, while the fault knowledge stands, the
-    #: decision (including its ``steps`` and field writes) is a pure
-    #: function of (node, dst, in_port, in_vc, these field values, and
-    #: whether ``path_len`` exceeds ``native_livelock_limit``) up to
-    #: the load re-ordering a ``REFRESH_RESORT`` hint declares, and
-    #: that ``on_depart`` does nothing beyond the base path-length bump
+    #: Declaring it asserts that, while the fault knowledge and the
+    #: physical link state stand, the decision (including its ``steps``
+    #: and field writes) is a pure function of (node, dst, in_port,
+    #: in_vc, these field values, and whether ``path_len`` exceeds
+    #: ``native_livelock_limit``) up to the load re-ordering a
+    #: ``REFRESH_RESORT`` or ``REFRESH_PICK`` hint declares, and that
+    #: ``on_depart`` does nothing beyond the base path-length bump
     #: plus the optional ``native_term_rule``.  Values must be small
     #: ints, bools or None.  REROUTE-hinted decisions are never cached,
     #: so exceptional branches (unroutable, one-way switches) always
@@ -161,14 +173,28 @@ class RoutingAlgorithm:
         """Memoization key for ``route``, or None if uncacheable.
 
         Two calls with equal keys must return the same decision (up to
-        the load re-ordering a ``REFRESH_RESORT`` hint declares) and
-        perform the same writes to the ``cache_mutable_fields`` of the
-        header — *while the network's fault knowledge stands*; the
-        batched engine drops its cache whenever ``route_epoch``
-        advances.  The key must therefore cover every dynamic input of
-        the decision except output loads: typically (node, dst,
-        in_port, and the header fields the algorithm branches on).
-        The object engine never consults this."""
+        the load re-ordering a ``REFRESH_RESORT`` or ``REFRESH_PICK``
+        hint declares) and perform the same writes to the
+        ``cache_mutable_fields`` of the header — *while the network's
+        fault knowledge and physical link state stand*; the batched
+        engine drops its cache whenever ``route_epoch`` advances or a
+        fault physically applies.  The key must therefore cover every
+        dynamic input of the decision except output loads: typically
+        (node, dst, in_port, and the header fields the algorithm
+        branches on), or any coarser premise signature the decision
+        provably factors through.  The object engine never consults
+        this."""
+        return None
+
+    def native_dst_classes(self, network: "Network"):
+        """Optional coarsening of the native cache key's destination:
+        an int array ``cls[node, dst]`` such that, while the fault
+        knowledge stands, the decision at ``node`` depends on the
+        destination only through ``cls[node, dst]`` (given the rest of
+        the native key).  The batched engine keys its C cache by the
+        class instead of the destination and re-reads the array
+        whenever ``route_epoch`` advances.  None (the default) keys by
+        the destination itself."""
         return None
 
     def native_livelock_limit(self, topology: Topology) -> "int | None":

@@ -20,20 +20,34 @@ the engines' registers by firing the state rule bases
 settle — the paper's wave-like propagation executed by the rule
 machine itself.
 
-This path is an order of magnitude slower than the native
-:class:`~repro.routing.nafta.NaftaRouting` (every decision is a rule
-interpretation in Python); it exists for architectural fidelity and is
-differentially tested against the native algorithm on small meshes.
+On the object engine every decision is a rule interpretation in
+Python.  The batched engine runs the rule machine once per distinct
+premise outcome per route epoch: ``route_cache_key`` is the premise
+signature the decision bases provably factor through (its destination
+part, a per-epoch class table, also keys the C cache), and a decision
+whose conclusion was the ``qbest`` minimum selection carries the
+``REFRESH_PICK`` hint, which replays that selection over live loads.
+On the benchmark's ``rules_mesh`` workload (8x8 mesh, load 0.15, three
+static link faults) that cuts rule-machine runs from about 7.5k to
+1.4k per draw, makes three quarters of the decisions in C, and more
+than doubles the batched engine's simulated cycles per host second
+(median of five seeds 1028 -> 2242 on a 2-CPU x86-64 host), with
+identical simulated results.
+The path exists for architectural fidelity and is differentially
+tested against the native algorithm on small meshes.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.engine import RuleEngine
 from ..sim.flit import Header
 from ..sim.topology import EAST, WEST, Mesh2D, Torus2D, Topology
-from .base import RouteDecision, RoutingAlgorithm, RoutingError
+from .base import (REFRESH_PICK, REFRESH_REROUTE, REFRESH_STATIC,
+                   RouteDecision, RoutingAlgorithm, RoutingError)
 from .nara import VN_TERMINAL, assign_virtual_network
-from .rulesets.loader import RULESETS, compile_ruleset
+from .rulesets.loader import RULESETS, compile_ruleset, qbest
 
 DELIVER = 4
 
@@ -52,6 +66,13 @@ class RuleDrivenNafta(RoutingAlgorithm):
     name = "nafta_rules"
     n_vcs = 2
     fault_tolerant = True
+    # route() writes vn, sdir and the misrouted mark; on_depart is
+    # exactly the base path-length bump plus the terminal commit, and
+    # neither in_vc nor path_len is ever consulted
+    cache_mutable_fields = ("vn", "term", "sdir", "misrouted")
+    native_fields = ("vn", "term", "sdir", "misrouted")
+    native_term_rule = ("term", "vn", VN_TERMINAL)
+    native_key_uses_vc = False
 
     def __init__(self, qmax: int = 63, engine_mode: str = "table",
                  fastpath: bool = True):
@@ -61,6 +82,12 @@ class RuleDrivenNafta(RoutingAlgorithm):
         self.engines: list[RuleEngine] = []
         self.compiled = None
         self._rmax = 15
+        # the set the deciding qbest ("minimum selection") FCFB call
+        # received, or None when no qbest call ran this step
+        self._qbest_pool: "frozenset | None" = None
+        self._pick_ok = True
+        # premise class per (node, dst), refreshed with the fault state
+        self._dst_cls: "np.ndarray | None" = None
 
     # -- lifecycle ------------------------------------------------------
 
@@ -74,14 +101,25 @@ class RuleDrivenNafta(RoutingAlgorithm):
         params = {"xsize": topo.width, "ysize": topo.height,
                   "qmax": self.qmax, "rmax": self._rmax}
         self.compiled = compile_ruleset("nafta", params)
-        spec = RULESETS["nafta"]
-        self.engines = [RuleEngine(self.compiled, functions=spec.functions,
+        functions = dict(RULESETS["nafta"].functions, qbest=self._qbest)
+        self.engines = [RuleEngine(self.compiled, functions=functions,
                                    mode=self.engine_mode,
                                    fastpath=self.fastpath)
                         for _ in topo.nodes()]
         self.network = network
+        # a PICK refresh orders the pool by raw output loads, qbest by
+        # loads clipped at qmax: the two agree while no load can reach
+        # the clip (buffer slots + staging slot + owner, per VC)
+        self._pick_ok = (self.n_vcs * (network.config.buffer_depth + 2)
+                         <= self.qmax)
         _attach_tracers(network, self.engines)
         self.on_fault_update(network)
+
+    def _qbest(self, cands: frozenset, *loads: int) -> int:
+        """The "minimum selection" FCFB, recording the set it chose
+        from (the pool of a PICK decision)."""
+        self._qbest_pool = cands
+        return qbest(cands, *loads)
 
     # -- distributed state via the rule machine ----------------------------
 
@@ -155,6 +193,22 @@ class RuleDrivenNafta(RoutingAlgorithm):
                     changed = True
             if not changed:
                 break
+        self._dst_cls = self._premise_classes(topo)
+
+    def _premise_classes(self, topo: Mesh2D) -> np.ndarray:
+        """What the decision bases read of the destination, per (node,
+        dst), as one small int: its quadrant (they compare coordinates
+        only with comparators and the sign-dependent FCFBs) plus, in the
+        destination column, the clear-run bit (``runok``) for both
+        virtual networks' terminal directions."""
+        xs, ys = np.array([topo.coords(v) for v in topo.nodes()]).T
+        sx = np.sign(xs[None, :] - xs[:, None])
+        sy = np.sign(ys[None, :] - ys[:, None])
+        dist = np.abs(ys[None, :] - ys[:, None])
+        runs = np.array([[eng.registers.read("runc", (VN_TERMINAL[vn],))
+                          for vn in (0, 1)] for eng in self.engines])
+        runok = (runs[:, 0, None] >= dist) + 2 * (runs[:, 1, None] >= dist)
+        return (sx + 1) * 3 + sy + 1 + 9 * np.where(sx == 0, runok, 0)
 
     def accepts(self, src: int, dst: int) -> bool:
         return not (self._engine_blocked(src) or self._engine_blocked(dst))
@@ -206,7 +260,7 @@ class RuleDrivenNafta(RoutingAlgorithm):
     def route(self, router, header: Header, in_port: int,
               in_vc: int) -> RouteDecision:
         if router.node == header.dst:
-            return RouteDecision.delivery()
+            return RouteDecision(deliver=True, refresh_hint=REFRESH_STATIC)
         eng = self.engines[router.node]
         vn = header.fields.get("vn")
         if vn is None:
@@ -220,14 +274,17 @@ class RuleDrivenNafta(RoutingAlgorithm):
                        trusted=True)
 
         # step 1: the NARA fast path
+        self._qbest_pool = None
         res = eng.call("incoming_message", indir, vn)
         steps = 1
         if not res.has_return:
             # step 2: fault-tolerant decision
+            self._qbest_pool = None
             res = eng.call("in_message_ft", indir)
             steps = 2
         if not res.has_return:
             # step 3: the exception path
+            self._qbest_pool = None
             res = eng.call("test_exception", indir)
             steps = 3
             if any(e.event == "declare_stuck" for e in res.emissions):
@@ -240,12 +297,39 @@ class RuleDrivenNafta(RoutingAlgorithm):
                 header.mark_misrouted()
         eng.drain_external()
         if not res.has_return:
-            # blocked, not stuck: wait and retry next cycle
-            return RouteDecision(candidates=[], steps=steps)
+            # blocked, not stuck: wait and retry next cycle (the retry
+            # repeats this outcome until the fault knowledge changes)
+            return RouteDecision(candidates=[], steps=steps,
+                                 refresh_hint=REFRESH_STATIC)
         out = res.returned
         if out == DELIVER:
-            return RouteDecision.delivery(steps=steps)
-        return RouteDecision(candidates=[(int(out), vn)], steps=steps)
+            return RouteDecision(deliver=True, steps=steps,
+                                 refresh_hint=REFRESH_STATIC)
+        pool = self._qbest_pool
+        if pool is None:
+            # a fixed conclusion: the table outcome alone decides
+            return RouteDecision(candidates=[(int(out), vn)], steps=steps,
+                                 refresh_hint=REFRESH_STATIC)
+        # the conclusion was qbest over live loads: a PICK over its set
+        return RouteDecision(
+            candidates=[(int(out), vn)], steps=steps,
+            refresh_hint=REFRESH_PICK if self._pick_ok else REFRESH_REROUTE,
+            pool=tuple((p, vn) for p in sorted(pool)))
+
+    def route_cache_key(self, node: int, header: Header, in_port: int,
+                        in_vc: int) -> tuple:
+        """The premise signature of the three decision bases: the
+        destination's premise class, the arrival port and the header
+        fields.  The output loads enter only as ``qbest`` arguments
+        (replayed by the PICK hint); everything else the bases read is
+        per-node and epoch-static."""
+        f = header.fields
+        return (node, int(self._dst_cls[node, header.dst]), in_port,
+                f.get("vn"), f.get("term"), f.get("sdir"),
+                f.get("misrouted"))
+
+    def native_dst_classes(self, network) -> np.ndarray:
+        return self._dst_cls
 
     def on_depart(self, router, header: Header, out_port: int,
                   out_vc: int) -> None:

@@ -13,12 +13,14 @@ reproduced artifact), but algorithms that declare a native descriptor
 (:attr:`~repro.routing.base.RoutingAlgorithm.native_fields`) get a
 C-side replay cache: the header fields the algorithm consults are
 mirrored in per-message int32 arrays, each fresh decision is keyed by
-``(node, dst, in_port, in_vc, livelock-overflow, field values)`` — a
-strictly finer key than ``route_cache_key``, hence always safe — and a
-hit replays the recorded decision (field writes, candidate set, RESORT
-re-sort by current loads, digest line, stats counters) without entering
-Python at all.  Only genuine misses (first sighting of a key this
-epoch, REROUTE-hinted branches, stuck declarations) cross into Python.
+``(node, dst, in_port, in_vc, livelock-overflow, field values)`` — with
+the destination replaced by the algorithm's destination class when it
+declares one (``native_dst_classes``) — and a hit replays the recorded
+decision (field writes, candidate set, RESORT re-sort or PICK minimum
+selection by current loads, digest line, stats counters) without
+entering Python at all.  Only genuine misses (first sighting of a key
+this epoch, REROUTE-hinted branches, stuck declarations) cross into
+Python.
 
 The kernel is built on demand with the system C compiler (``cc -O3
 -shared -fPIC``) and cached by source hash; cffi's ABI mode loads the
@@ -74,6 +76,7 @@ typedef struct {
     int32_t key_port, key_vc; /* include in_port / in_vc in the key
                                  (algorithms that never consult them
                                  declare it, shrinking the key space) */
+    int32_t cls_on;           /* key by dst_cls[node, dst], not dst    */
     int32_t tab_mask;         /* hash slots - 1                        */
     int32_t n_ent, ent_cap;   /* cache entries used / capacity         */
     int32_t dig_used, dig_cap;
@@ -111,6 +114,8 @@ typedef struct {
     uint8_t *stuckf;
     uint8_t *hint;            /* RouteDecision.refresh_hint            */
     int32_t *ncand;
+    int32_t *npool;           /* PICK (hint 3): pool entries in cand_*
+                                 (ncand is 1, the pool's least loaded) */
     int32_t *cand_p;          /* n_iv x maxc                           */
     int32_t *cand_v;
     int32_t *head_msg;        /* msg id of the routed worm, -1 none    */
@@ -137,6 +142,7 @@ typedef struct {
     int32_t *msg_plen;        /* path_len                              */
     int32_t *msg_f;           /* n_msgs x 5 encoded native fields      */
     int32_t *term_port;       /* vn -> committing out port (8 slots)   */
+    int32_t *dst_cls;         /* n_nodes x n_nodes destination classes */
     /* decision cache: open addressing -> parallel entry arrays */
     int32_t *tab;             /* tab_mask+1 slots: entry idx or -1     */
     int32_t *ek;              /* ent_cap x 10 keys                     */
@@ -206,6 +212,9 @@ _SOURCE = """
 #define MAXF 5
 #define F_ABSENT (-1000000)
 #define CT_CANDS 8
+/* refresh hints re-sorted by load: RESORT (1) and PICK (3) — the odd
+   ones, so the hot scans test a single bit */
+#define RESORTS(h) ((h) & 1)
 
 /* -- active-set scheduling ---------------------------------------- */
 
@@ -336,10 +345,13 @@ static int load_of(BState *s, int node, int pid)
 }
 
 /* re-sort the candidate list by (output load, port, vc) — the refresh
-   a REFRESH_RESORT decision declares equivalent to re-routing */
+   a REFRESH_RESORT decision declares equivalent to re-routing; for
+   REFRESH_PICK the sort runs over the whole pool and the one live
+   candidate (ncand = 1) is its least-loaded member */
 static void resort_cands(BState *s, int g, int node)
 {
     int n = s->ncand[g];
+    if (s->hint[g] == 3) n = s->npool[g];
     if (n < 2) return;
     int32_t *cp = s->cand_p + (int64_t)g * s->maxc;
     int32_t *cv = s->cand_v + (int64_t)g * s->maxc;
@@ -374,6 +386,7 @@ static void mk_key(BState *s, int g, int mid, int32_t *k)
 {
     k[0] = s->iv_node[g];
     k[1] = s->msg_dst[mid];
+    if (s->cls_on) k[1] = s->dst_cls[(int64_t)k[0] * s->n_nodes + k[1]];
     k[2] = s->key_port ? s->iv_port[g] : 0;
     k[3] = s->key_vc ? s->iv_vc[g] : 0;
     k[4] = s->msg_plen[mid] > s->limit ? 1 : 0;
@@ -437,7 +450,7 @@ static void apply_common(BState *s, int g, int node, int steps,
     if (lat < 1) lat = 1;
     s->ready[g] = cycle + lat - 1;
     s->epoch[g] = epoch;
-    if (s->hint[g] == 1) resort_cands(s, g, node);
+    if (RESORTS(s->hint[g])) resort_cands(s, g, node);
     s->dstat[0]++;
     s->dstat[1] += steps;
     if (steps > s->dstat[2]) s->dstat[2] = steps;
@@ -446,7 +459,7 @@ static void apply_common(BState *s, int g, int node, int steps,
 }
 
 /* replay an exact-key cache entry: recorded header-field after-values
-   plus the recorded candidate set */
+   plus the recorded candidate set (a PICK entry records its pool) */
 static void apply_hit(BState *s, int g, int node, int mid, int e,
                       int cycle, int epoch)
 {
@@ -457,7 +470,8 @@ static void apply_hit(BState *s, int g, int node, int mid, int e,
     s->deliver[g] = s->e_deliver[e];
     s->hint[g] = s->e_hint[e];
     int n = s->e_ncand[e];
-    s->ncand[g] = n;
+    s->ncand[g] = s->hint[g] == 3 ? 1 : n;
+    s->npool[g] = n;
     memcpy(s->cand_p + (int64_t)g * s->maxc,
            s->e_cp + (int64_t)e * s->maxc, n * sizeof(int32_t));
     memcpy(s->cand_v + (int64_t)g * s->maxc,
@@ -543,11 +557,7 @@ void k_note(BState *s, int g, int steps, int32_t b0, int32_t b1,
     if (!cacheable || !s->n_native || s->n_ent >= s->ent_cap) return;
     int mid = s->head_msg[g];
     int32_t k[KEYW];
-    k[0] = node;
-    k[1] = s->msg_dst[mid];
-    k[2] = s->key_port ? s->iv_port[g] : 0;
-    k[3] = s->key_vc ? s->iv_vc[g] : 0;
-    k[4] = s->msg_plen[mid] > s->limit ? 1 : 0;
+    mk_key(s, g, mid, k);
     k[5] = b0; k[6] = b1; k[7] = b2; k[8] = b3; k[9] = b4;
     uint32_t m = (uint32_t)s->tab_mask;
     uint32_t j = key_hash(k) & m;
@@ -567,7 +577,7 @@ void k_note(BState *s, int g, int steps, int32_t b0, int32_t b1,
     s->e_deliver[e] = s->deliver[g];
     s->e_steps[e] = steps;
     s->e_hint[e] = s->hint[g];
-    int n = s->ncand[g];
+    int n = s->hint[g] == 3 ? s->npool[g] : s->ncand[g];
     s->e_ncand[e] = n;
     memcpy(s->e_cp + (int64_t)e * s->maxc,
            s->cand_p + (int64_t)g * s->maxc, n * sizeof(int32_t));
@@ -597,14 +607,14 @@ void k_rehash(BState *s)
    sorted ascending at cycle start, so this is ascending node order),
    mirroring Router.route_stage gid-for-gid: idle heads are served
    from the clean table or the native cache, ROUTING timers expire,
-   RESORT-hinted blocked heads are re-sorted.  The scan stops at the
-   first input VC that needs Python — a cache miss, a REROUTE/
-   epoch-stale refresh, a hop-budget overflow or a stuck decision
-   about to fire — stores the cursor in scan_ai and returns that gid
-   plus the node's remaining occupied gids (Python finishes the node
-   in order, applies any stuck purges, and resumes at scan_ai+1, so
-   purge effects are visible to later nodes exactly as in the object
-   engine).  Returns 0 when every remaining node was handled, or
+   RESORT- and PICK-hinted blocked heads are re-sorted.  The scan
+   stops at the first input VC that needs Python — a cache miss, a
+   REROUTE/epoch-stale refresh, a hop-budget overflow or a stuck
+   decision about to fire — stores the cursor in scan_ai and returns
+   that gid plus the node's remaining occupied gids (Python finishes
+   the node in order, applies any stuck purges, and resumes at
+   scan_ai+1, so purge effects are visible to later nodes exactly as
+   in the object engine).  Returns 0 when every remaining node was handled, or
    -(ai+1) when the digest buffer needs a flush before act_list[ai]
    can be processed. */
 int k_route_scan(BState *s, int start_ai, int cycle, int epoch,
@@ -643,7 +653,7 @@ int k_route_scan(BState *s, int start_ai, int cycle, int epoch,
                 if (s->epoch[g] != epoch) hard = 1;
                 else if (adaptive && s->hint[g] == 0) hard = 1;
                 else if (s->stuckf[g]) hard = 1;
-                else if (adaptive && s->hint[g] == 1)
+                else if (adaptive && RESORTS(s->hint[g]))
                     resort_cands(s, g, node);
             } else if (st == 1 && cycle >= s->ready[g]) {
                 if (s->stuckf[g]) hard = 1;

@@ -62,7 +62,8 @@ from .router import ACTIVE, IDLE, LOCAL, ROUTED, ROUTING, InputVC, OutputVC
 from ._batched_kernel import (CT_CANDS, CT_KEYS, DIG_CAP, FIELD_ABSENT,
                               FIELD_NONE, MAXF, kernel_available,
                               load_kernel)
-from ..routing.base import REFRESH_REROUTE, REFRESH_RESORT, RouteDecision
+from ..routing.base import (REFRESH_PICK, REFRESH_REROUTE, REFRESH_RESORT,
+                            RouteDecision)
 
 _STATE_NAMES = (IDLE, ROUTING, ROUTED, ACTIVE)
 _MISSING = object()
@@ -313,6 +314,7 @@ class BatchedNetwork(Network):
         self._stuckf = u8(n_iv)
         self._hint = u8(n_iv)
         self._ncand = i32(n_iv)
+        self._npool = i32(n_iv)           # PICK pool size (ncand is 1)
         self._cand_p = i32(n_iv, maxc)
         self._cand_v = i32(n_iv, maxc)
         self._head_msg = np.full(n_iv, -1, dtype=np.int32)
@@ -359,8 +361,15 @@ class BatchedNetwork(Network):
                 f"cache_mutable_fields")
         self._native = native
         self._nf = tuple(nf) if native else ()
-        self._ent_cap = (1 << 15) if native else 8
-        ent_cap = self._ent_cap
+        # entries start at 32 per node (capped at 32k) and double on
+        # demand in _grow_cache, so small meshes do not pay for the
+        # large ones' tables
+        ent_cap = 8
+        if native:
+            ent_cap = 1 << 10
+            while ent_cap < min(32 * n_nodes, 1 << 15):
+                ent_cap *= 2
+        self._ent_cap = ent_cap
         self._tab = np.full(ent_cap * 4, -1, dtype=np.int32)
         self._ek = i32(ent_cap, 10)
         self._ea = i32(ent_cap, MAXF)
@@ -451,6 +460,8 @@ class BatchedNetwork(Network):
             cs.vn_f = 0
         cs.key_port = 1 if self.algorithm.native_key_uses_port else 0
         cs.key_vc = 1 if self.algorithm.native_key_uses_vc else 0
+        cs.cls_on = 0                  # set per epoch in _route_phase
+        self._dst_cls = None
         cs.tab_mask = self._tab.shape[0] - 1
         cs.n_ent = 0
         cs.ent_cap = ent_cap
@@ -472,7 +483,8 @@ class BatchedNetwork(Network):
         for name in ("iv_off", "iv_node", "iv_port", "iv_vc", "portbase",
                      "ov_down", "buf_msg", "buf_seq", "buf_head",
                      "buf_cnt", "inc_msg", "inc_seq", "ready", "epoch",
-                     "o_port", "o_vc", "ncand", "cand_p", "cand_v",
+                     "o_port", "o_vc", "ncand", "npool", "cand_p",
+                     "cand_v",
                      "head_msg", "ov_owner", "r_nflits", "src_cur",
                      "src_pos", "src_qlen",
                      "ev_kind", "ev_node", "ev_msg", "ev_a",
@@ -687,6 +699,7 @@ class BatchedNetwork(Network):
                 # fault knowledge changed: every cached decision is void
                 lib.k_cache_clear(cs)
                 self._c_epoch = epoch
+                self._load_dst_classes()
                 # the clean table is proven for the *empty* known-fault
                 # set only; any known fault turns it off until an epoch
                 # without faults returns
@@ -706,6 +719,19 @@ class BatchedNetwork(Network):
             self._route_gids(n, cycle, epoch)
             start = int(cs.scan_ai) + 1
         self._flush_native_stats()
+
+    def _load_dst_classes(self) -> None:
+        """Hand the algorithm's destination classes for this epoch (if
+        it declares any) to the C cache key."""
+        cls = self.algorithm.native_dst_classes(self)
+        if cls is None:
+            self._cs.cls_on = 0
+            return
+        if self._dst_cls is None:
+            self._dst_cls = np.zeros(np.shape(cls), dtype=np.int32)
+            self._bind("dst_cls", self._dst_cls, "int32_t *")
+        self._dst_cls[:] = cls
+        self._cs.cls_on = 1
 
     def _flush_digest(self) -> None:
         cs = self._cs
@@ -835,7 +861,8 @@ class BatchedNetwork(Network):
                                 self._grow_cache()
                             lib.k_note(cs, g, dec.steps, b0, b1, b2,
                                        b3, b4, 1, 0)
-                    elif adaptive and hint_a[g] == 1:
+                    elif adaptive and hint_a[g] in (REFRESH_RESORT,
+                                                    REFRESH_PICK):
                         lib.k_resort(cs, g)
                 elif epoch_a[g] != epoch or adaptive:
                     header = messages[int(head_msg[g])].header
@@ -853,18 +880,8 @@ class BatchedNetwork(Network):
                         cycle: int, cps: int, epoch: int) -> None:
         self._ivst[g] = 1
         self._head_msg[g] = mid
-        self._deliver[g] = 1 if dec.deliver else 0
-        self._stuckf[g] = 1 if dec.stuck else 0
-        self._hint[g] = dec.refresh_hint
-        cands = dec.candidates
-        self._ncand[g] = len(cands)
-        cp = self._cand_p
-        cv = self._cand_v
-        for i, (p, v) in enumerate(cands):
-            cp[g, i] = p
-            cv[g, i] = v
+        self._write_refresh(g, dec, epoch)
         self._ready[g] = cycle + max(1, dec.steps * cps) - 1
-        self._epoch_a[g] = epoch
 
     def _write_refresh(self, g: int, dec: RouteDecision,
                        epoch: int) -> None:
@@ -873,6 +890,11 @@ class BatchedNetwork(Network):
         self._hint[g] = dec.refresh_hint
         cands = dec.candidates
         self._ncand[g] = len(cands)
+        if dec.refresh_hint == REFRESH_PICK:
+            # the arrays hold the whole pool, the pick first; ncand
+            # stays 1 and a refresh re-sorts npool entries
+            cands = cands + [pv for pv in dec.pool if pv != cands[0]]
+            self._npool[g] = len(cands)
         cp = self._cand_p
         cv = self._cand_v
         for i, (p, v) in enumerate(cands):
@@ -906,9 +928,12 @@ class BatchedNetwork(Network):
             for f, v in delta:
                 fields[f] = v
             lst = list(cands)
-            if hint == REFRESH_RESORT and len(lst) > 1:
+            if hint in (REFRESH_RESORT, REFRESH_PICK) and len(lst) > 1:
                 load = router.output_load
                 lst.sort(key=lambda pv: (load(pv[0]), pv[0], pv[1]))
+            if hint == REFRESH_PICK:
+                return RouteDecision(candidates=lst[:1], steps=steps,
+                                     refresh_hint=hint, pool=tuple(lst))
             return RouteDecision(deliver=deliver, candidates=lst,
                                  steps=steps, stuck=stuck,
                                  refresh_hint=hint)
@@ -925,7 +950,8 @@ class BatchedNetwork(Network):
                               if a is not b and a != b)
                 self._dec_cache[full_key] = (
                     dec.deliver, dec.stuck, dec.steps,
-                    tuple(dec.candidates), dec.refresh_hint, delta)
+                    dec.pool if dec.refresh_hint == REFRESH_PICK
+                    else tuple(dec.candidates), dec.refresh_hint, delta)
         return dec
 
     def _alloc_phase(self) -> int:
@@ -1046,6 +1072,15 @@ class BatchedNetwork(Network):
             node = int(event.target)
             self._src_cur[node] = -1
             self._src_qlen[node] = 0
+        # decisions may read the physical link state (port_alive), which
+        # changes here — in harsh mode before detection advances
+        # route_epoch — so both decision caches are void, and blocked
+        # adaptive heads re-route once, as the object engine re-routes
+        # them every cycle
+        self._dec_cache.clear()
+        self._lib.k_cache_clear(self._cs)
+        if self.algorithm.adaptive:
+            self._epoch_a[:] = -1
 
     def _rip_up_worms(self, event) -> None:
         # identical victim *insertion order* to the object engine, so

@@ -192,75 +192,6 @@ def test_input_reader_shares_already_canonical_tables():
 
 
 # ---------------------------------------------------------------------------
-# batched premise processing: decide_batch == entry, element for element
-# ---------------------------------------------------------------------------
-
-BATCH_PROGRAM = f"""
-VARIABLE v0 IN 0 TO {INT_MAX}
-INPUT sensor IN 0 TO {INT_MAX}
-INPUT q(0 TO 3) IN 0 TO {INT_MAX}
-ON decide(a IN 0 TO 3) RETURNS 0 TO {INT_MAX}
-  IF q(a) < 4 AND sensor > 2 THEN RETURN(q(a));
-  IF v0 >= 3 THEN RETURN(v0);
-  IF sensor <= 2 THEN RETURN(1);
-END decide;
-"""
-
-
-def _batch_kernel_and_rows():
-    """One kernel plus (codes row, scalar entry) pairs swept over real
-    environments — including gap entries (sensor > 2, q(a) >= 4,
-    v0 < 3 fires no rule)."""
-    compiled = compile_program(BATCH_PROGRAM)
-    engine = RuleEngine(compiled, mode="table", fastpath=True)
-    kern = engine._rbr.kernel(compiled.base("decide"))
-    rows, refs = [], []
-    for sensor in range(INT_MAX + 1):
-        for v0 in range(0, INT_MAX + 1, 3):
-            engine.registers.write("v0", v0)
-            engine.set_inputs(
-                {"sensor": sensor,
-                 "q": {(i,): (sensor + 3 * i) % (INT_MAX + 1)
-                       for i in range(4)}}, trusted=True)
-            for a in range(4):
-                env = engine._env().bind({"a": a})
-                rows.append(kern.codes(env))
-                refs.append(kern.entry(env))
-    return kern, rows, refs
-
-
-def test_decide_batch_matches_scalar_entries():
-    """The vectorized gather must agree with the memoised scalar path
-    on every environment, gap entries (NO_RULE) included."""
-    from repro.core.compiler.tablegen import NO_RULE
-
-    kern, rows, refs = _batch_kernel_and_rows()
-    got = kern.decide_batch(*zip(*rows))
-    assert got.tolist() == refs
-    assert NO_RULE in refs  # the sweep really exercises table gaps
-
-
-def test_decide_batch_rejects_bad_shapes_and_codes():
-    kern, rows, _ = _batch_kernel_and_rows()
-    cols = list(zip(*rows))
-    with pytest.raises(EvalError, match="premise features"):
-        kern.decide_batch(*cols[:-1])
-    bad = list(cols)
-    bad[0] = tuple(c + 10_000 for c in bad[0])
-    with pytest.raises(EvalError, match="out of range"):
-        kern.decide_batch(*bad)
-    bad[0] = tuple(-1 for _ in cols[0])
-    with pytest.raises(EvalError, match="out of range"):
-        kern.decide_batch(*bad)
-
-
-def test_decide_batch_empty_batch():
-    kern, rows, _ = _batch_kernel_and_rows()
-    got = kern.decide_batch(*([[]] * len(rows[0])))
-    assert len(got) == 0
-
-
-# ---------------------------------------------------------------------------
 # the hot path performs no AST interpretation
 # ---------------------------------------------------------------------------
 

@@ -16,6 +16,7 @@ must reproduce the object engine's digests on generated cases.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.conformance.generate import generate_cases
@@ -24,7 +25,7 @@ from repro.routing.registry import ALGORITHM_META, make_algorithm
 from repro.sim.batched import (BatchedNetwork, batched_fallback_reason,
                                build_network)
 from repro.sim.config import SimConfig
-from repro.sim.faults import FaultSchedule
+from repro.sim.faults import FaultSchedule, random_link_faults
 from repro.sim.network import Network
 from repro.sim.stats import DecisionDigest
 from repro.sim.topology import Hypercube, KAryNCube, Mesh2D, Torus2D
@@ -67,9 +68,11 @@ def _scenarios(algo):
     out.append(("timed-harsh", "timed", {"fault_mode": "harsh",
                                          "retry_limit": 2,
                                          "retry_backoff": 8}))
-    if algo == "nafta":
+    if algo in ("nafta", "nafta_rules"):
         # delayed detection + hop-by-hop diagnosis flood, the richest
-        # fault-knowledge path the reliability layer has
+        # fault-knowledge path the reliability layer has — and the one
+        # where the physical link state (which the rule-driven free
+        # mask reads) changes cycles before route_epoch advances
         out.append(("timed-diagnosis", "timed",
                     {"fault_mode": "harsh", "detection_delay": 5,
                      "diagnosis_hop_delay": 1, "retry_limit": 2,
@@ -303,6 +306,63 @@ def test_clean_table_bypassed_under_known_faults(monkeypatch):
     # and both match the oracle
     assert base == _digest_run(Network, "nafta", {}, schedule,
                                cycles=260)
+
+
+# ---------------------------------------------------------------------------
+# rule-driven decisions served from the decision caches: exact, and
+# mostly without entering Python
+# ---------------------------------------------------------------------------
+
+def test_rule_driven_static_faults_drained_mostly_native():
+    """nafta_rules on 8x8 with three static link faults, run to drain:
+    identical summaries and digests, and at least 30% of the batched
+    run's decisions made in C (never reaching count_decision)."""
+    topo = Mesh2D(8, 8)
+    links = random_link_faults(topo, 3, np.random.default_rng(11))
+    summaries = {}
+    python_decisions = []      # decisions the batched run made in Python
+    for engine_cls in (Network, BatchedNetwork):
+        net = engine_cls(topo, make_algorithm("nafta_rules"),
+                         config=SimConfig())
+        net.stats.digest = DecisionDigest()
+        net.schedule_faults(FaultSchedule.static(links=links))
+        if engine_cls is BatchedNetwork:
+            count = net.stats.count_decision
+
+            def counted(steps, count=count):
+                python_decisions.append(steps)
+                count(steps)
+            net.stats.count_decision = counted
+        net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.15,
+                                            message_length=6, seed=5))
+        net.run(300)
+        net.traffic = None
+        net.run_until_drained()
+        summaries[engine_cls] = net.stats.summary(topo.n_nodes)
+    assert summaries[Network] == summaries[BatchedNetwork]
+    decisions = summaries[Network]["decisions"]
+    assert decisions > 1000
+    assert 1 - len(python_decisions) / decisions >= 0.3
+
+
+@pytest.mark.parametrize("link", [(2, 7), (7, 12), (12, 13)])
+def test_rule_driven_physical_fault_window(link):
+    """Harsh mode with delayed detection: the link dies (port_alive
+    turns false) five cycles before route_epoch advances.  The
+    rule-driven free mask reads port_alive, so cached decisions and
+    blocked heads' PICK/STATIC refreshes must not outlive the physical
+    fault."""
+    def schedule():
+        sched = FaultSchedule()
+        sched.add_link_fault(50, *link)
+        return sched
+    kw = {"fault_mode": "harsh", "detection_delay": 5,
+          "diagnosis_hop_delay": 1, "retry_limit": 2, "retry_backoff": 8}
+    obj = _digest_run(Network, "nafta_rules", kw, schedule, cycles=120,
+                      load=0.3)
+    bat = _digest_run(BatchedNetwork, "nafta_rules", kw, schedule,
+                      cycles=120, load=0.3)
+    assert obj == bat
 
 
 # ---------------------------------------------------------------------------
