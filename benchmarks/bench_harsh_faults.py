@@ -6,7 +6,8 @@ phase") is, by its own admission, "unrealistic"; it suggests solving
 the real case by re-injecting affected messages.  This experiment drops
 the idealization: links die mid-traffic in 'harsh' mode, worms caught
 on the dying link are ripped up, and we compare plain loss against the
-re-injection recovery the paper sketches.
+re-injection recovery the paper sketches, modelled as one source retry
+released one cycle after the rip-up.
 """
 
 from repro.experiments import save_report, table
@@ -19,7 +20,8 @@ import numpy as np
 
 def run_mode(retransmit: bool, seed: int = 11):
     topo = Mesh2D(8, 8)
-    cfg = SimConfig(fault_mode="harsh", retransmit_dropped=retransmit)
+    cfg = SimConfig(fault_mode="harsh", retry_limit=1 if retransmit else 0,
+                    retry_backoff=1)
     net = Network(topo, NaftaRouting(), config=cfg)
     rng = np.random.default_rng(seed)
     links = random_link_faults(topo, 4, rng)

@@ -32,16 +32,15 @@ the protected link failed, and every entry is verified —
   backup entries *are* that configuration's routing relation at the
   injection state, so an acyclic CDG certifies them.
 
-Tables persist as JSON under the batched kernel's cache directory
-keyed by the code-version token (same convention as the clean tables),
-so sweep workers and CI runs with a seeded cache skip the probe pass.
+Tables live in memory only: :class:`repro.routing.backup.FastReroute`
+memoizes them per process, keyed by algorithm and topology.  Entries
+must still survive a JSON round-trip (``BackupTable.to_dict`` /
+``from_dict``), so a table can be exported and reloaded unchanged.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 from ...sim.topology import link_key
@@ -49,7 +48,7 @@ from ...sim.topology import link_key
 #: pseudo in-port: the probe models a fresh injection at the local port
 _LOCAL = -1
 
-#: bump to invalidate persisted tables on format changes
+#: bump when the to_dict layout changes
 _FORMAT = 1
 
 
@@ -171,24 +170,16 @@ def _probe(algorithm, router, dst: int):
     return (tuple((int(p), int(v)) for p, v in dec.candidates), fields)
 
 
-def build_backup_table(topology, algorithm_factory,
-                       verify_deadlock: int = 4) -> BackupTable:
-    """Probe-build the backup table for ``algorithm_factory()`` over
+def build_backup_table_for(topology, algorithm,
+                           verify_deadlock: int = 4) -> BackupTable:
+    """Probe-build the backup table for ``algorithm`` over
     ``topology``.  ``verify_deadlock`` protected links (deterministic,
     evenly spread; 0 disables, a negative value checks every link)
     additionally get a CDG acyclicity check of their shadow
-    configuration."""
-    return build_backup_table_for(topology, algorithm_factory(),
-                                  verify_deadlock=verify_deadlock)
-
-
-def build_backup_table_for(topology, algorithm,
-                           verify_deadlock: int = 4) -> BackupTable:
-    """Probe-build using an existing algorithm instance.  The instance
-    is temporarily bound to a shadow network for the probe pass; the
-    caller must ``reset()`` it onto its real network afterwards
-    (``Network.__init__`` already does, since it resets the algorithm
-    as its final construction step)."""
+    configuration.  The instance is temporarily bound to a shadow
+    network for the probe pass; the caller must ``reset()`` it onto its
+    real network afterwards (``Network.__init__`` already does, since
+    it resets the algorithm as its final construction step)."""
     net = _shadow_network(topology, algorithm)
     algo = net.algorithm
     if not getattr(algo, "fault_tolerant", False):
@@ -288,41 +279,3 @@ def _verify_link(net, algo, link) -> None:
     finally:
         net.faults.repair_link(a, b)
         algo.on_fault_update(net)
-
-
-# -- persistence -------------------------------------------------------
-
-
-def _table_path(algorithm_name: str, topology) -> str:
-    from ...experiments.pool import code_version_token
-    from ...sim._batched_kernel import _cache_dir
-    import hashlib
-    topo_key = hashlib.sha256(json.dumps(
-        topology.describe(), sort_keys=True).encode()).hexdigest()[:12]
-    name = (f"bk-{code_version_token()}-{algorithm_name}-{topo_key}.json")
-    return os.path.join(_cache_dir(), "tables", name)
-
-
-def load_or_build(topology, algorithm_factory, algorithm_name: str,
-                  verify_deadlock: int = 4) -> BackupTable:
-    """The backup table for this (algorithm, topology): from the
-    persisted cache when the code-version token matches, probe-built
-    (and persisted) otherwise."""
-    path = _table_path(algorithm_name, topology)
-    try:
-        with open(path, encoding="utf-8") as f:
-            return BackupTable.from_dict(json.load(f))
-    except (OSError, ValueError, KeyError, TypeError):
-        pass
-    table = build_backup_table(topology, algorithm_factory,
-                               verify_deadlock=verify_deadlock)
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(table.to_dict(), f, sort_keys=True)
-        os.replace(tmp, path)           # atomic for concurrent builders
-    except OSError:  # pragma: no cover - cache dir not writable
-        pass
-    return table

@@ -295,8 +295,8 @@ def _logical_accounting(net: Network) -> dict:
     delivered: set[int] = set()
     for m in net.messages.values():
         fields = m.header.fields
-        # root_id (retry machinery) or retry_of (legacy one-shot
-        # retransmit_dropped copies) name the originating send
+        # a retransmission names its originating send in root_id and
+        # carries retry_of, so only first sends open a logical message
         root = int(fields.get("root_id",
                               fields.get("retry_of", m.header.msg_id)))
         if "retry_of" not in m.header.fields:

@@ -10,7 +10,7 @@ from .config import SimConfig
 from .diagnosis import DiagnosisEngine
 from .faults import (FaultEvent, FaultSchedule, FaultState,
                      random_link_faults, random_node_faults)
-from .flit import Flit, FlitKind, Header, Message, reset_message_ids
+from .flit import Flit, FlitKind, Header, Message
 from .network import DeadlockError, Network
 from .router import LOCAL, Router
 from .stats import StatsCollector
@@ -38,7 +38,7 @@ __all__ = [
     "Arbiter", "MisroutedFirstArbiter", "OldestFirstArbiter", "make_arbiter",
     "SimConfig", "DiagnosisEngine", "FaultEvent", "FaultSchedule",
     "FaultState", "random_link_faults", "random_node_faults", "Flit",
-    "FlitKind", "Header", "Message", "reset_message_ids", "DeadlockError",
+    "FlitKind", "Header", "Message", "DeadlockError",
     "Network", "BatchedNetwork", "batched_fallback_reason",
     "build_network", "LOCAL", "Router", "StatsCollector", "StallDiagnosis",
     "StalledWorm", "diagnose_stall", "EAST", "NORTH", "SOUTH", "WEST",

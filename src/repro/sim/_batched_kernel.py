@@ -85,7 +85,6 @@ typedef struct {
     int32_t scan_ai;          /* route-scan resume cursor (act index)  */
     /* metrics bookkeeping (array-native MetricsTimeseries gauges) */
     int32_t m_on;             /* a timeseries is attached              */
-    int32_t m_prune;          /* prune the _active mirror each cycle   */
     int32_t m_count;          /* |_active| mirror for the gauge        */
     /* build-time clean decision table (fault-free relative-key form) */
     int32_t ct_on;            /* table lookups live this epoch         */
@@ -241,7 +240,7 @@ static void act_compact(BState *s)
     int n = s->n_act, w = 0;
     for (int i = 0; i < n; i++) {
         int node = s->act_list[i];
-        if (s->m_prune && s->m_flag[node] && s->r_nflits[node] <= 0) {
+        if (s->m_flag[node] && s->r_nflits[node] <= 0) {
             s->m_flag[node] = 0;
             s->m_count--;
         }

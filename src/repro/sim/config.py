@@ -25,8 +25,6 @@ class SimConfig:
     injection_vc: int = 0          # local-port VC messages enter through
     fault_mode: str = "quiesce"    # "quiesce" honours assumption iv;
     #                                "harsh" kills worms on dying links
-    retransmit_dropped: bool = False  # legacy: immediate re-offer of a
-    #                                   ripped-up message, no backoff
     detection_delay: int = 0       # cycles between a fault occurring and
     #                                the Information Units confirming it
     #                                (heartbeat detection; harsh mode only)
@@ -51,10 +49,6 @@ class SimConfig:
     #                                rip-up/retry slow path)
     trace_paths: bool = False      # record per-message node paths
     deadlock_threshold: int = 2000  # cycles without progress => deadlock
-    active_scheduling: bool = True  # iterate only routers holding flits
-    #                                 (and sources with pending worms);
-    #                                 cycle-accurate either way — the
-    #                                 False setting exists for A/B tests
     engine: str = "object"         # "object": per-flit Python objects
     #                                (the bit-exact oracle); "batched":
     #                                the struct-of-arrays engine of
@@ -109,7 +103,3 @@ class SimConfig:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown selection policy {self.policy!r}; "
                              f"choose from {sorted(POLICIES)}")
-        if self.retry_limit and self.retransmit_dropped:
-            raise ValueError("retry_limit and the legacy "
-                             "retransmit_dropped are mutually exclusive; "
-                             "use retry_limit")

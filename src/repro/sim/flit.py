@@ -13,8 +13,6 @@ and maintaining a path-length counter "is best done in the header"
 
 from __future__ import annotations
 
-import itertools
-import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -24,32 +22,6 @@ class FlitKind(IntEnum):
     BODY = 1
     TAIL = 2
     HEAD_TAIL = 3   # single-flit message
-
-
-# Fallback allocator for messages created outside a Network (unit
-# tests, ad-hoc scripts).  Simulations never touch it: every Network
-# owns a private counter and passes explicit ids to Message.create, so
-# concurrent networks in one process cannot cross-contaminate ids.
-_msg_ids = itertools.count()
-
-
-def reset_message_ids() -> None:
-    """Deprecated shim: restart the module-global fallback counter.
-
-    Message ids are allocated per :class:`~repro.sim.network.Network`
-    since the parallel sweep engine landed; a fresh network always
-    starts at id 0, so between-run resets are no longer needed.  Kept
-    for callers that create bare :class:`Message` objects and want a
-    predictable id sequence.
-    """
-    warnings.warn(
-        "reset_message_ids() is deprecated: message ids are per-Network "
-        "since the sweep engine landed, so between-run resets are "
-        "unnecessary (it only restarts the fallback counter for bare "
-        "Message objects)",
-        DeprecationWarning, stacklevel=2)
-    global _msg_ids
-    _msg_ids = itertools.count()
 
 
 @dataclass
@@ -111,11 +83,12 @@ class Message:
 
     @classmethod
     def create(cls, src: int, dst: int, length: int, cycle: int,
-               msg_id: int | None = None, **fields) -> "Message":
+               msg_id: int, **fields) -> "Message":
+        """A fresh message.  Ids come from the caller: every Network
+        numbers its own messages from 0, so concurrent networks in one
+        process never share an id sequence."""
         if length < 1:
             raise ValueError("message length must be >= 1 flit")
-        if msg_id is None:
-            msg_id = next(_msg_ids)
         hdr = Header(msg_id=msg_id, src=src, dst=dst,
                      length=length, created=cycle, fields=dict(fields))
         return cls(header=hdr)

@@ -279,12 +279,8 @@ class Network:
 
     def _inject_phase(self) -> None:
         vc = self.config.injection_vc
-        if self.config.active_scheduling:
-            # ascending node order matches the full enumerate() scan
-            nodes = sorted(self._active_sources)
-        else:
-            nodes = range(len(self.sources))
-        for node in nodes:
+        # ascending node order: sources inject in node order
+        for node in sorted(self._active_sources):
             src = self.sources[node]
             if not src.current and not src.queue:
                 self._active_sources.discard(node)
@@ -438,24 +434,21 @@ class Network:
         return diagnose_stall(self)
 
     def _live_routers(self) -> list[Router]:
-        """The routers that can act this cycle.  With active scheduling
-        only those holding flits are visited, in ascending node order —
-        the same relative order as the full scan, and flit-free routers
-        contribute nothing to any phase, so the schedule is
-        cycle-accurate either way.  Routers that gain their first flit
-        mid-cycle (injection or a neighbour's grant) need no phase this
-        cycle: the flit sits in ``incoming`` until the next flush."""
+        """The routers that can act this cycle: only those holding
+        flits, in ascending node order — the same relative order as a
+        full scan, and flit-free routers contribute nothing to any
+        phase, so skipping them is cycle-accurate.  Routers that gain
+        their first flit mid-cycle (injection or a neighbour's grant)
+        need no phase this cycle: the flit sits in ``incoming`` until
+        the next flush."""
         routers = self.routers
-        if not self.config.active_scheduling:
-            return routers
         active = self._active
         stale = [n for n in active if routers[n].n_flits == 0]
         if stale:
             active.difference_update(stale)
         return [routers[n] for n in sorted(active)]
 
-    def _allocate_and_transfer(self, routers: list[Router] | None = None
-                               ) -> int:
+    def _allocate_and_transfer(self, routers: list[Router]) -> int:
         moved = 0
         node_ok = self.faults.node_ok
         arbiter = self.arbiter
@@ -466,7 +459,7 @@ class Network:
         plain_rr = type(arbiter) is Arbiter
         pointers = arbiter._pointers
         cycle = self.cycle
-        for r in (self.routers if routers is None else routers):
+        for r in routers:
             if not node_ok(r.node):
                 continue
             requests = r.collect_requests()
@@ -900,11 +893,6 @@ class Network:
             return
         if self.config.retry_limit:
             self._schedule_retry(msg, event=event)
-        elif self.config.retransmit_dropped:
-            # the re-injection recovery the paper sketches for messages
-            # ripped up by a link fault; the copy records its original
-            self.offer(msg.header.src, msg.header.dst, msg.header.length,
-                       retry_of=msg.header.msg_id)
 
     # -- source retransmission ---------------------------------------------------
 

@@ -179,15 +179,10 @@ def _run_with_metrics(engine_cls, algo, schedule=None, cfg_kwargs=None,
     return net.stats.summary(topo.n_nodes), metrics.to_dict()
 
 
-@pytest.mark.parametrize("algo,cfg", [
-    ("nafta", {}),
-    ("nafta", {"active_scheduling": True}),
-    ("nara", {}),
-    ("xy", {}),
-], ids=["nafta", "nafta-active-sched", "nara", "xy"])
-def test_metrics_parity_clean(algo, cfg):
-    obj_s, obj_m = _run_with_metrics(Network, algo, cfg_kwargs=cfg)
-    bat_s, bat_m = _run_with_metrics(BatchedNetwork, algo, cfg_kwargs=cfg)
+@pytest.mark.parametrize("algo", ["nafta", "nara", "xy"])
+def test_metrics_parity_clean(algo):
+    obj_s, obj_m = _run_with_metrics(Network, algo)
+    bat_s, bat_m = _run_with_metrics(BatchedNetwork, algo)
     assert obj_s == bat_s
     assert obj_m == bat_m       # columns, link_flits, everything
 
@@ -214,7 +209,7 @@ def test_metrics_parity_under_timed_faults():
 # (or double-scanning) a node — divergence shows up in the digest
 # ---------------------------------------------------------------------------
 
-def _digest_run(engine_cls, algo, cfg_kwargs, schedule=None, cycles=300,
+def _digest_net(engine_cls, algo, cfg_kwargs, schedule=None, cycles=300,
                 load=0.15, topo=None):
     topo = topo or Mesh2D(5, 4)
     net = engine_cls(topo, make_algorithm(algo),
@@ -225,7 +220,12 @@ def _digest_run(engine_cls, algo, cfg_kwargs, schedule=None, cycles=300,
     net.attach_traffic(TrafficGenerator(topo, "uniform", load=load,
                                         message_length=4, seed=23))
     net.run(cycles)
-    return net.stats.summary(topo.n_nodes)
+    return net
+
+
+def _digest_run(*args, **kwargs):
+    net = _digest_net(*args, **kwargs)
+    return net.stats.summary(net.topology.n_nodes)
 
 
 def test_active_set_worm_death_mid_route():
@@ -244,16 +244,17 @@ def test_active_set_worm_death_mid_route():
 
 
 def test_active_set_retransmission_reentry():
-    """Source retry re-activates a node whose queue had drained; the
-    legacy retransmit_dropped path re-offers in the same cycle."""
+    """Source retry re-activates a node whose queue had drained; a
+    one-cycle backoff re-offers right after the rip-up."""
     def schedule():
         sched = FaultSchedule()
         sched.add_node_fault(60, 9)
         return sched
-    kw = {"fault_mode": "harsh", "retransmit_dropped": True}
+    kw = {"fault_mode": "harsh", "retry_limit": 1, "retry_backoff": 1}
     obj = _digest_run(Network, "nafta", kw, schedule)
     bat = _digest_run(BatchedNetwork, "nafta", kw, schedule)
     assert obj == bat
+    assert obj["messages_retried"] > 0
 
 
 def test_active_set_quiesce_empty_then_refill():
@@ -273,39 +274,29 @@ def test_active_set_quiesce_empty_then_refill():
 
 
 # ---------------------------------------------------------------------------
-# build-time clean tables: bit-exact with the table disabled, and
+# build-time clean tables: bit-exact with the object oracle, and
 # correctly bypassed the moment faults are known
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("algo", ["nafta", "nara"])
-def test_clean_table_ab_digest_equality(algo, monkeypatch):
-    """REPRO_BATCHED_NO_TABLE must be behaviorally invisible."""
-    def one(disabled):
-        if disabled:
-            monkeypatch.setenv("REPRO_BATCHED_NO_TABLE", "1")
-        else:
-            monkeypatch.delenv("REPRO_BATCHED_NO_TABLE", raising=False)
-        return _digest_run(BatchedNetwork, algo, {}, cycles=260)
-    assert one(False) == one(True)
+def test_clean_table_ab_digest_equality(algo):
+    """Clean-table decisions are invisible: summaries and digests equal
+    the object engine's, with the table really installed."""
+    net = _digest_net(BatchedNetwork, algo, {}, cycles=260)
+    assert net._ct_ready
+    assert net.stats.summary(net.topology.n_nodes) == \
+        _digest_run(Network, algo, {}, cycles=260)
 
 
-def test_clean_table_bypassed_under_known_faults(monkeypatch):
-    """With faults known from cycle 0, table and no-table runs must
-    still agree (the table never fires on fault-epoch decisions)."""
+def test_clean_table_bypassed_under_known_faults():
+    """With faults known from cycle 0, the installed table must never
+    fire on fault-epoch decisions: the run still matches the oracle."""
     def schedule():
         return FaultSchedule.static(links=[(5, 6)])
-    def one(disabled):
-        if disabled:
-            monkeypatch.setenv("REPRO_BATCHED_NO_TABLE", "1")
-        else:
-            monkeypatch.delenv("REPRO_BATCHED_NO_TABLE", raising=False)
-        return _digest_run(BatchedNetwork, "nafta", {}, schedule,
-                           cycles=260)
-    base = one(False)
-    assert base == one(True)
-    # and both match the oracle
-    assert base == _digest_run(Network, "nafta", {}, schedule,
-                               cycles=260)
+    net = _digest_net(BatchedNetwork, "nafta", {}, schedule, cycles=260)
+    assert net._ct_ready
+    assert net.stats.summary(net.topology.n_nodes) == \
+        _digest_run(Network, "nafta", {}, schedule, cycles=260)
 
 
 # ---------------------------------------------------------------------------

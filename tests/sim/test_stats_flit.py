@@ -2,31 +2,22 @@
 
 import math
 
-import warnings
-
 import pytest
 
-from repro.sim import FlitKind, Message, StatsCollector, reset_message_ids
+from repro.sim import FlitKind, Message, StatsCollector
 from repro.sim.config import SimConfig
 
 
 class TestMessage:
-    def setup_method(self):
-        # the shim warns by design; these tests exercise the bare-Message
-        # fallback counter it still resets
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            reset_message_ids()
-
     def test_single_flit_message(self):
-        m = Message.create(0, 5, 1, cycle=10)
+        m = Message.create(0, 5, 1, cycle=10, msg_id=0)
         flits = m.flits()
         assert len(flits) == 1
         assert flits[0].kind == FlitKind.HEAD_TAIL
         assert flits[0].is_head and flits[0].is_tail
 
     def test_worm_structure(self):
-        m = Message.create(0, 5, 5, cycle=0)
+        m = Message.create(0, 5, 5, cycle=0, msg_id=0)
         flits = m.flits()
         kinds = [f.kind for f in flits]
         assert kinds == [FlitKind.HEAD, FlitKind.BODY, FlitKind.BODY,
@@ -35,22 +26,19 @@ class TestMessage:
         assert flits[0].header is m.header
         assert all(f.header is None for f in flits[1:])
 
-    def test_msg_ids_unique_and_resettable(self):
-        a = Message.create(0, 1, 2, 0)
-        b = Message.create(0, 1, 2, 0)
-        assert a.header.msg_id != b.header.msg_id
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            reset_message_ids()
-        c = Message.create(0, 1, 2, 0)
-        assert c.header.msg_id == 0
+    def test_msg_id_is_required_and_carried(self):
+        with pytest.raises(TypeError):
+            Message.create(0, 1, 2, 0)      # ids come from the Network
+        m = Message.create(0, 1, 3, 0, msg_id=7)
+        assert m.header.msg_id == 7
+        assert [f.msg_id for f in m.flits()] == [7, 7, 7]
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
-            Message.create(0, 1, 0, 0)
+            Message.create(0, 1, 0, 0, msg_id=0)
 
     def test_latency_accounting(self):
-        m = Message.create(0, 1, 2, cycle=10)
+        m = Message.create(0, 1, 2, cycle=10, msg_id=0)
         assert m.latency is None
         m.injected = 15
         m.delivered = 40
@@ -58,7 +46,7 @@ class TestMessage:
         assert m.network_latency == 25
 
     def test_header_helpers(self):
-        m = Message.create(0, 1, 2, 0)
+        m = Message.create(0, 1, 2, 0, msg_id=0)
         h = m.header
         assert not h.misrouted and h.path_len == 0
         h.mark_misrouted()
@@ -70,7 +58,7 @@ class TestMessage:
 class TestStatsCollector:
     def make_delivered(self, created, injected, delivered, hops=3,
                        misrouted=False):
-        m = Message.create(0, 1, 4, created)
+        m = Message.create(0, 1, 4, created, msg_id=0)
         m.injected = injected
         m.delivered = delivered
         m.hops = hops

@@ -1,5 +1,11 @@
 """Tests for the command-line tools (rulec, simulate)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.tools.rulec import main as rulec_main, parse_params
@@ -75,25 +81,95 @@ class TestSimulateCli:
         assert isinstance(t, Torus2D)
 
     def test_small_run(self, capsys):
-        rc = simulate_main(["--topology", "mesh4x4", "--algorithm", "xy",
-                            "--load", "0.05", "--cycles", "300",
-                            "--warmup", "50"])
+        rc = simulate_main(["run", "--topology", "mesh4x4",
+                            "--algorithm", "xy", "--load", "0.05",
+                            "--cycles", "300", "--warmup", "50"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "mean_latency" in out
         assert "deadlocked" in out
 
     def test_run_with_faults(self, capsys):
-        rc = simulate_main(["--topology", "mesh5x5", "--algorithm", "nafta",
-                            "--load", "0.08", "--cycles", "400",
-                            "--warmup", "100", "--link-faults", "2",
-                            "--seed", "3"])
+        rc = simulate_main(["run", "--topology", "mesh5x5",
+                            "--algorithm", "nafta", "--load", "0.08",
+                            "--cycles", "400", "--warmup", "100",
+                            "--link-faults", "2", "--seed", "3"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "2 link faults" in out
 
     def test_cube_run(self, capsys):
-        rc = simulate_main(["--topology", "cube3", "--algorithm", "route_c",
-                            "--load", "0.08", "--cycles", "400",
-                            "--node-faults", "1", "--seed", "2"])
+        rc = simulate_main(["run", "--topology", "cube3",
+                            "--algorithm", "route_c", "--load", "0.08",
+                            "--cycles", "400", "--node-faults", "1",
+                            "--seed", "2"])
         assert rc == 0
+        assert "1 node faults" in capsys.readouterr().out
+
+    def test_node_faults_beyond_topology_exit(self):
+        # more faults than a connected 2x2 mesh can take: an error
+        # exit, not an endless draw
+        with pytest.raises(SystemExit) as exc:
+            simulate_main(["run", "--topology", "mesh2x2",
+                           "--node-faults", "5"])
+        assert exc.value.code not in (0, None)
+
+    def test_bad_fault_spelling(self):
+        with pytest.raises(SystemExit):
+            simulate_main(["run", "--fault", "10:wire:1,2"])
+
+    def test_sweep_seeds(self, capsys):
+        rc = simulate_main(["run", "--topology", "mesh4x4",
+                            "--cycles", "200", "--warmup", "50",
+                            "--sweep-seeds", "2", "--no-cache"])
+        assert rc == 0
+        assert "2 seeds" in capsys.readouterr().out
+
+    def test_run_trace_with_fault(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        metrics = tmp_path / "metrics.json"
+        rc = simulate_main(["run", "--topology", "mesh4x4",
+                            "--load", "0.15", "--cycles", "300",
+                            "--warmup", "50", "--fault-mode", "harsh",
+                            "--retry-limit", "2",
+                            "--fault", "150:link:5,6",
+                            "--trace", str(path),
+                            "--metrics-out", str(metrics), "--ascii"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "1 mid-flight faults" in out
+        assert json.loads(path.read_text())["traceEvents"]
+        assert json.loads(metrics.read_text())["samples"] > 0
+
+    @pytest.mark.parametrize("topology", ["cube3", "torus4x4"])
+    def test_campaign_rejects_non_mesh(self, topology):
+        with pytest.raises(SystemExit) as exc:
+            simulate_main(["campaign", "--topology", topology,
+                           "--scenarios", "1"])
+        assert "mesh" in str(exc.value.code)
+
+    def test_campaign_report(self, tmp_path, capsys):
+        path = tmp_path / "campaign.json"
+        rc = simulate_main(["campaign", "--topology", "mesh4x4",
+                            "--algorithm", "updown", "--scenarios", "1",
+                            "--cycles", "300", "--warmup", "50",
+                            "--no-cache", "--strict",
+                            "--json", str(path)])
+        assert rc == 0
+        report = json.loads(path.read_text())
+        for key in ("n_scenarios", "scenarios", "created_logical",
+                    "delivered_logical", "delivery_rate", "dead_lettered",
+                    "silent_loss", "deadlocked_scenarios",
+                    "cycles_of_loss"):
+            assert key in report
+        assert report["n_scenarios"] == 1
+        assert len(report["scenarios"][0]["timed_faults"]) == 2
+
+    def test_shim_runs_without_pythonpath(self):
+        root = Path(__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, str(root / "tools" / "simulate.py"), "--help"],
+            capture_output=True, text=True, env=env, cwd=root, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "run" in proc.stdout and "campaign" in proc.stdout

@@ -1,295 +1,9 @@
 #!/usr/bin/env python
-"""Simulation CLI: single workload points, chaos campaigns, traces.
-
-Single point::
-
-    python tools/simulate.py run --algorithm nafta --width 8 --height 8 \
-        --load 0.15 --cycles 2000
-
-Chaos campaign (randomized mid-flight faults, harsh mode, source
-retransmission; see docs/ROBUSTNESS.md)::
-
-    python tools/simulate.py campaign --scenarios 20 --link-faults 2 \
-        --workers 4 --seed 1 --json campaign.json
-
-Traced run (docs/OBSERVABILITY.md) — a Chrome trace_event JSON you can
-load in https://ui.perfetto.dev, plus an optional per-cycle metrics
-timeseries and an ASCII timeline::
-
-    python tools/simulate.py trace --algorithm nafta --load 0.15 \
-        --fault 600:link:27,28 --out trace.json --metrics-out metrics.json
-
-``run`` and ``campaign`` accept the same ``--trace``/``--metrics-out``
-flags to capture traces from their runs (campaign traces ride through
-the sweep engine's worker processes and cache unchanged).
-
-The campaign fans scenarios out through the sweep engine, so
-``--workers N`` parallelizes and repeated invocations replay from the
-content-addressed result cache (disable with ``--no-cache``).
-"""
-
-from __future__ import annotations
-
-import argparse
-import json
+"""Run ``python -m repro.tools.simulate`` from a checkout (no install)."""
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from repro.tools.simulate import main  # noqa: E402
 
-from repro.experiments import (add_sweep_args, campaign_table,  # noqa: E402
-                               run_campaign, run_workload, WorkloadSpec)
-from repro.obs import ascii_timeline, chrome_trace  # noqa: E402
-from repro.sim import Hypercube, Mesh2D  # noqa: E402
-
-
-def _topology(args):
-    if args.topology == "mesh":
-        return Mesh2D(args.width, args.height)
-    return Hypercube(args.dimension)
-
-
-def _parse_fault(text: str):
-    """``cycle:link:a,b`` or ``cycle:node:n`` -> a timed-fault tuple."""
-    try:
-        cycle, kind, target = text.split(":")
-        if kind == "link":
-            a, b = target.split(",")
-            return (int(cycle), "link", (int(a), int(b)))
-        if kind == "node":
-            return (int(cycle), "node", int(target))
-    except ValueError:
-        pass
-    raise SystemExit(f"bad --fault {text!r}; use CYCLE:link:A,B "
-                     f"or CYCLE:node:N")
-
-
-def _obs_fields(args) -> dict:
-    """WorkloadSpec observability fields implied by the CLI flags."""
-    out = {}
-    if getattr(args, "trace", None) or args.command == "trace":
-        out["trace"] = True
-        out["trace_capacity"] = args.trace_capacity
-    if getattr(args, "metrics_out", None) or args.command == "trace":
-        out["metrics_stride"] = args.metrics_stride
-    return out
-
-
-def _write_trace_outputs(args, trace: dict | None,
-                         metrics: dict | None) -> None:
-    out_path = getattr(args, "out", None) or getattr(args, "trace", None)
-    if out_path and trace is not None:
-        doc = chrome_trace(trace, metrics)
-        Path(out_path).write_text(json.dumps(doc, sort_keys=True))
-        print(f"[chrome trace: {len(doc['traceEvents'])} events "
-              f"({trace.get('dropped', 0)} dropped) -> {out_path}]")
-    if getattr(args, "metrics_out", None) and metrics is not None:
-        Path(args.metrics_out).write_text(
-            json.dumps(metrics, sort_keys=True))
-        print(f"[metrics: {metrics.get('samples', 0)} samples "
-              f"-> {args.metrics_out}]")
-
-
-def cmd_run(args) -> int:
-    spec = WorkloadSpec(
-        topology=_topology(args), algorithm=args.algorithm,
-        pattern=args.pattern, load=args.load,
-        message_length=args.message_length, cycles=args.cycles,
-        warmup=args.warmup, seed=args.seed,
-        fault_mode=args.fault_mode, detection_delay=args.detection_delay,
-        diagnosis_hop_delay=args.diagnosis_hop_delay,
-        retry_limit=args.retry_limit, retry_backoff=args.retry_backoff,
-        hop_budget=args.hop_budget, engine=args.engine,
-        policy=args.policy, policy_seed=args.policy_seed,
-        **_obs_fields(args))
-    result = run_workload(spec)
-    trace = result.pop("trace", None)
-    metrics = result.pop("metrics", None)
-    print(json.dumps(result, indent=2, sort_keys=True, default=str))
-    _write_trace_outputs(args, trace, metrics)
-    return 0
-
-
-def cmd_trace(args) -> int:
-    spec = WorkloadSpec(
-        topology=_topology(args), algorithm=args.algorithm,
-        pattern=args.pattern, load=args.load,
-        message_length=args.message_length, cycles=args.cycles,
-        warmup=args.warmup, seed=args.seed,
-        fault_mode=args.fault_mode, detection_delay=args.detection_delay,
-        diagnosis_hop_delay=args.diagnosis_hop_delay,
-        retry_limit=args.retry_limit, retry_backoff=args.retry_backoff,
-        hop_budget=args.hop_budget, engine=args.engine,
-        policy=args.policy, policy_seed=args.policy_seed,
-        timed_faults=[_parse_fault(f) for f in args.fault],
-        trace=True, trace_capacity=args.trace_capacity,
-        metrics_stride=args.metrics_stride)
-    result = run_workload(spec)
-    trace = result.pop("trace")
-    metrics = result.pop("metrics", None)
-    print(f"{args.algorithm}: {result['messages_delivered']} delivered, "
-          f"{result['messages_dropped']} dropped, "
-          f"{result['messages_retried']} retried, "
-          f"deadlocked={result['deadlocked']}")
-    _write_trace_outputs(args, trace, metrics)
-    if args.ascii and metrics is not None:
-        print(ascii_timeline(metrics))
-    return 0
-
-
-def cmd_campaign(args) -> int:
-    stats: dict = {}
-    obs = _obs_fields(args)
-    report = run_campaign(
-        args.scenarios, workers=args.workers, cache=args.cache,
-        progress=args.progress, stats=stats,
-        width=args.width, height=args.height,
-        n_link_faults=args.link_faults, n_node_faults=args.node_faults,
-        algorithm=args.algorithm, load=args.load,
-        message_length=args.message_length, cycles=args.cycles,
-        warmup=args.warmup, seed=args.seed,
-        detection_delay=args.detection_delay,
-        diagnosis_hop_delay=args.diagnosis_hop_delay,
-        retry_limit=0 if args.no_retry else args.retry_limit,
-        retry_backoff=args.retry_backoff,
-        hop_budget=args.hop_budget, backup_routes=args.backups == "on",
-        engine=args.engine, pattern=args.pattern,
-        policy=args.policy, policy_seed=args.policy_seed, **obs)
-    # traces/metrics are pulled out of the report (they would dwarf the
-    # reliability numbers in --json); the Chrome export is scenario 0 —
-    # one run per trace document, as the trace_event format expects
-    traces = [s.pop("trace", None) for s in report["scenarios"]]
-    metrics = [s.pop("metrics", None) for s in report["scenarios"]]
-    print(campaign_table(report))
-    if args.trace and traces and traces[0] is not None:
-        doc = chrome_trace(traces[0], metrics[0] if metrics else None)
-        Path(args.trace).write_text(json.dumps(doc, sort_keys=True))
-        print(f"[chrome trace of scenario 0: "
-              f"{len(doc['traceEvents'])} events -> {args.trace}]")
-    if args.metrics_out and any(m is not None for m in metrics):
-        Path(args.metrics_out).write_text(json.dumps(
-            {f"scenario_{i}": m for i, m in enumerate(metrics)
-             if m is not None}, sort_keys=True))
-        print(f"[per-scenario metrics -> {args.metrics_out}]")
-    if stats:
-        print(f"[{stats.get('simulated', '?')} simulated, "
-              f"{stats.get('cache_hits', '?')} cache hits, "
-              f"{stats.get('wall_s', 0):.1f}s]")
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(report, indent=2, sort_keys=True))
-        print(f"[report saved to {args.json}]")
-    if args.strict and (report["silent_loss"] or report["dead_lettered"]
-                        or report["deadlocked_scenarios"]):
-        print("STRICT: reliability violations present", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algorithm", default="nafta")
-    p.add_argument("--topology", choices=["mesh", "cube"], default="mesh")
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--height", type=int, default=8)
-    p.add_argument("--dimension", type=int, default=4,
-                   help="hypercube dimension (with --topology cube)")
-    p.add_argument("--pattern", default="uniform")
-    p.add_argument("--load", type=float, default=0.12)
-    p.add_argument("--message-length", type=int, default=6)
-    p.add_argument("--cycles", type=int, default=2000)
-    p.add_argument("--warmup", type=int, default=200)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--fault-mode", choices=["quiesce", "harsh"],
-                   default="harsh")
-    p.add_argument("--detection-delay", type=int, default=40)
-    p.add_argument("--diagnosis-hop-delay", type=int, default=2)
-    p.add_argument("--retry-limit", type=int, default=6)
-    p.add_argument("--retry-backoff", type=int, default=16)
-    p.add_argument("--hop-budget", type=int, default=0)
-    p.add_argument("--engine", choices=["object", "batched"],
-                   default="object",
-                   help="simulation engine: the per-flit object oracle "
-                        "or the batched struct-of-arrays engine "
-                        "(bit-identical results, metrics included; "
-                        "falls back to object only when tracing is "
-                        "attached)")
-    p.add_argument("--policy", default="deterministic",
-                   choices=["deterministic", "ecmp", "flowlet", "credit"],
-                   help="output-selection policy over legal route "
-                        "candidates (docs/PERFORMANCE.md; non-default "
-                        "policies run on the object engine)")
-    p.add_argument("--policy-seed", type=int, default=0,
-                   help="hash seed for the ecmp/flowlet policies")
-
-
-def _obs_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace", metavar="PATH",
-                   help="record a trace and write Chrome trace_event "
-                        "JSON (ui.perfetto.dev) to PATH")
-    p.add_argument("--metrics-out", metavar="PATH",
-                   help="sample a per-cycle metrics timeseries and "
-                        "write it as JSON to PATH")
-    p.add_argument("--trace-capacity", type=int, default=65536,
-                   help="trace ring-buffer capacity in events")
-    p.add_argument("--metrics-stride", type=int, default=1,
-                   help="cycles between metrics samples")
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="one simulation point")
-    _common(run_p)
-    _obs_args(run_p)
-    run_p.set_defaults(fault_mode="quiesce", detection_delay=0,
-                       diagnosis_hop_delay=0, retry_limit=0)
-
-    camp_p = sub.add_parser("campaign", help="randomized chaos campaign")
-    _common(camp_p)
-    add_sweep_args(camp_p)
-    _obs_args(camp_p)
-    camp_p.add_argument("--scenarios", type=int, default=20)
-    camp_p.add_argument("--link-faults", type=int, default=2)
-    camp_p.add_argument("--node-faults", type=int, default=0)
-    camp_p.add_argument("--progress", action="store_true")
-    camp_p.add_argument("--json", metavar="PATH",
-                        help="also write the full report as JSON")
-    camp_p.add_argument("--strict", action="store_true",
-                        help="exit 1 on any silent loss, dead letter "
-                             "or deadlock")
-    camp_p.add_argument("--no-retry", action="store_true",
-                        help="disable source retransmission "
-                             "(retry_limit=0): isolates what fast "
-                             "reroute alone recovers")
-    camp_p.add_argument("--backups", choices=["on", "off"], default="off",
-                        help="precompiled backup next-hop tables: "
-                             "activate LFA-style fast reroute on local "
-                             "link-fault confirmation "
-                             "(docs/ROBUSTNESS.md)")
-
-    trace_p = sub.add_parser(
-        "trace", help="one traced run: Chrome trace JSON + metrics")
-    _common(trace_p)
-    trace_p.add_argument("--fault", action="append", default=[],
-                         metavar="CYCLE:link:A,B | CYCLE:node:N",
-                         help="mid-flight fault (repeatable)")
-    trace_p.add_argument("--out", default="trace.json", metavar="PATH",
-                         help="Chrome trace_event JSON output path")
-    trace_p.add_argument("--metrics-out", metavar="PATH",
-                         help="also write the metrics timeseries JSON")
-    trace_p.add_argument("--trace-capacity", type=int, default=65536)
-    trace_p.add_argument("--metrics-stride", type=int, default=1)
-    trace_p.add_argument("--ascii", action="store_true",
-                         help="print an ASCII timeline of the gauges")
-
-    args = ap.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "trace":
-        return cmd_trace(args)
-    return cmd_campaign(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+sys.exit(main())
