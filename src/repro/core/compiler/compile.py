@@ -97,6 +97,8 @@ class CompiledProgram:
     rulebases: dict[str, CompiledRuleBase]
     subbases: dict[str, CompiledRuleBase]
     params: dict[str, Value] = field(default_factory=dict)
+    _kernels: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def base(self, name: str) -> CompiledRuleBase:
         if name in self.rulebases:
@@ -104,6 +106,22 @@ class CompiledProgram:
         if name in self.subbases:
             return self.subbases[name]
         raise KeyError(name)
+
+    def kernel(self, name: str):
+        """The fast-path :class:`~repro.core.compiler.fastpath.
+        DecisionKernel` of one base, built on first use.  Every engine
+        executing this program shares it: a kernel holds only what
+        follows from the program, and each engine keeps its own call
+        environments (paper Figure 3: all control units run the same
+        compiled rules)."""
+        k = self._kernels.get(name)
+        if k is None:
+            # imported here: fastpath depends on the interpreter
+            # package, which imports this module
+            from .fastpath import DecisionKernel
+            k = DecisionKernel(self.base(name), self.analyzed)
+            self._kernels[name] = k
+        return k
 
     @property
     def all_bases(self) -> dict[str, CompiledRuleBase]:

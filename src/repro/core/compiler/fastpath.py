@@ -5,8 +5,8 @@ processing extracts the feature codes, their concatenation indexes the
 completely-filled rule table, and conclusion processing drives the
 selected entry's actions.  The interpreted software model used to
 re-walk the premise ASTs through :func:`eval_expr` on every invocation;
-this module lowers each rule base **once** into flat closures so the
-hot path performs no AST traversal at all:
+this module lowers each rule base **once per compiled program** into
+flat closures so the hot path performs no AST traversal at all:
 
 * every :class:`DirectFeature` signal and :class:`BitFeature` atom is
   compiled to an *extractor* closure ``env -> code``;
@@ -975,12 +975,15 @@ def generate_value_fn(expr: N.Expr, analyzed: AnalyzedProgram,
 
 class DecisionKernel:
     """Per-rule-base fast path: extractors + strides + memo + compiled
-    conclusions.  Built lazily, once, from a
-    :class:`~repro.core.compiler.compile.CompiledRuleBase`."""
+    conclusions.  Built lazily, once per
+    :class:`~repro.core.compiler.compile.CompiledProgram` (see its
+    ``kernel``), and shared by every engine running that program, so it
+    holds nothing that belongs to one engine: registers, inputs and the
+    call environments that reference them stay with the caller."""
 
     __slots__ = ("base", "analyzed", "extractors", "strides", "params_meta",
                  "memo", "memo_enabled", "_conclusions", "_bound", "_codes",
-                 "_bind_memo", "_env_memo", "_psafe")
+                 "_bind_memo", "_psafe")
 
     def __init__(self, base, analyzed: AnalyzedProgram):
         self.base = base
@@ -1024,7 +1027,6 @@ class DecisionKernel:
         self.memo_enabled = base.analysis.n_entries <= MAX_MEMO_ENTRIES
         self._conclusions: dict[int, _Conclusion] = {}
         self._bind_memo: dict[tuple[Value, ...], dict[str, Value]] = {}
-        self._env_memo: dict[tuple[Value, ...], Env] = {}
 
     # -- premise processing -------------------------------------------------
 
@@ -1066,7 +1068,12 @@ class DecisionKernel:
     # -- one full decision ----------------------------------------------------
 
     def invoke(self, args: tuple[Value, ...], env: Env,
-               subbase_runner_factory) -> InvocationResult:
+               subbase_runner_factory,
+               env_memo: dict[tuple[Value, ...], Env]) -> InvocationResult:
+        """One decision against ``env``.  ``env_memo`` is the calling
+        engine's cache of call environments for this base, keyed by
+        ``args``; it must not be shared between engines, since each
+        entry holds one engine's registers."""
         base = self.base
         if base.table is None:
             raise EvalError(f"rule base {base.name!r} was compiled without "
@@ -1095,13 +1102,13 @@ class DecisionKernel:
             # lifetime (set_inputs swaps inputs/inputs_map in place).
             # The call environment per args tuple is therefore reusable
             # once its inputs fields are refreshed.
-            call_env = self._env_memo.get(args)
+            call_env = env_memo.get(args)
             if call_env is None:
                 call_env = Env(env.analyzed, env.registers, bindings,
                                env.inputs, env.functions, env.call_subbase,
                                env.inputs_map)
-                if len(self._env_memo) < 4096:
-                    self._env_memo[args] = call_env
+                if len(env_memo) < 4096:
+                    env_memo[args] = call_env
             elif call_env.inputs is not env.inputs:
                 call_env.inputs = env.inputs
                 call_env.inputs_map = env.inputs_map

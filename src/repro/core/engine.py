@@ -58,9 +58,10 @@ class RuleEngine:
         self._cached_env: Env | None = None
         self._ast = AstInterpreter(self.analyzed)
         self._rbr = RbrInterpreter(self.compiled, fastpath=fastpath)
-        # per-base decision kernels, resolved once per name (table mode
-        # with fastpath only); skips the base lookup on every call
-        self._kernels: dict[str, object] = {}
+        # per-base (shared decision kernel, this engine's call-environment
+        # memo), resolved once per name (table mode with fastpath only);
+        # skips the base lookup on every call
+        self._kernels: dict[str, tuple] = {}
         self.events = EventManager(
             rulebase_names=set(self.analyzed.rulebases),
             event_names=set(self.analyzed.events),
@@ -92,8 +93,8 @@ class RuleEngine:
         # the cached base environment is refreshed in place: its other
         # fields (registers, functions, subbase caller) are identity-
         # stable for the engine's lifetime, and keeping the env object
-        # itself stable lets the decision kernels cache per-args call
-        # environments against it
+        # itself stable lets the engine cache per-args call environments
+        # against it (see DecisionKernel.invoke)
         env = self._cached_env
         if env is not None:
             env.inputs = self._inputs
@@ -130,11 +131,12 @@ class RuleEngine:
                 # the traced path goes through rbr.invoke (same kernel,
                 # plus the rule.invoke emission)
                 return rbr.invoke(self.compiled.base(base_name), args, env)
-            kern = self._kernels.get(base_name)
-            if kern is None:
-                kern = rbr.kernel(self.compiled.base(base_name))
-                self._kernels[base_name] = kern
-            return kern.invoke(args, env, rbr._subbase_runner)
+            slot = self._kernels.get(base_name)
+            if slot is None:
+                slot = self._kernels[base_name] = (
+                    self.compiled.kernel(base_name), rbr.env_memo(base_name))
+            kern, memo = slot
+            return kern.invoke(args, env, rbr._subbase_runner, memo)
         return rbr.invoke(self.compiled.base(base_name), args, env)
 
     def call(self, base_name: str, *args: Value) -> InvocationResult:

@@ -8,11 +8,12 @@ entry drives conclusion processing.
 
 Two execution strategies share this class:
 
-* ``fastpath=True`` (default) runs each base through a lazily built
-  :class:`~repro.core.compiler.fastpath.DecisionKernel`: premise
-  features compiled to extractor closures, mixed-radix strides prebaked,
-  table entries memoised on the feature-code tuple, and conclusions
-  compiled to command closures.  No AST traversal on the hot path.
+* ``fastpath=True`` (default) runs each base through the compiled
+  program's shared :class:`~repro.core.compiler.fastpath.DecisionKernel`:
+  premise features compiled to extractor closures, mixed-radix strides
+  prebaked, table entries memoised on the feature-code tuple, and
+  conclusions compiled to command closures.  No AST traversal on the
+  hot path.
 * ``fastpath=False`` keeps the original interpreted pipeline that walks
   the premise and conclusion ASTs through :func:`eval_expr` on every
   invocation.  It is retained as the seed reference that the throughput
@@ -46,16 +47,21 @@ class RbrInterpreter:
         self.compiled = compiled
         self.analyzed = compiled.analyzed
         self.fastpath = fastpath
-        self._kernels: dict[str, DecisionKernel] = {}
+        # this interpreter's call environments per base (see
+        # DecisionKernel.invoke); the kernels themselves are shared
+        self._env_memos: dict[str, dict[tuple[Value, ...], Env]] = {}
 
     def kernel(self, base: CompiledRuleBase) -> DecisionKernel:
-        """The compiled decision kernel for one base (built lazily and
-        cached; extractors and strides are reused across invocations)."""
-        k = self._kernels.get(base.name)
-        if k is None:
-            k = DecisionKernel(base, self.analyzed)
-            self._kernels[base.name] = k
-        return k
+        """The compiled decision kernel for one base: one per compiled
+        program, shared by every interpreter that executes it."""
+        return self.compiled.kernel(base.name)
+
+    def env_memo(self, name: str) -> dict[tuple[Value, ...], Env]:
+        """This interpreter's call-environment memo for one base."""
+        memo = self._env_memos.get(name)
+        if memo is None:
+            memo = self._env_memos[name] = {}
+        return memo
 
     def compute_index(self, base: CompiledRuleBase, env: Env) -> int:
         """Premise processing: one mixed-radix index from the features."""
@@ -74,7 +80,8 @@ class RbrInterpreter:
     def invoke(self, base: CompiledRuleBase, args: tuple[Value, ...],
                env: Env) -> InvocationResult:
         if self.fastpath:
-            res = self.kernel(base).invoke(args, env, self._subbase_runner)
+            res = self.kernel(base).invoke(args, env, self._subbase_runner,
+                                           self.env_memo(base.name))
             tr = self.tracer
             if tr.enabled:
                 tr.emit(trace_ev.RULE_INVOKE, node=self.trace_node,

@@ -210,14 +210,8 @@ class WorkloadSpec:
             (code_token + "\n" + blob).encode()).hexdigest()
 
 
-def run_workload(spec: WorkloadSpec, drain: bool | None = None) -> dict:
-    """One simulation run; returns the stats summary + run metadata.
-
-    ``drain`` overrides ``spec.drain`` when given (legacy call style);
-    the sweep engine always runs with the spec's own setting.
-    """
-    if drain is None:
-        drain = spec.drain
+def run_workload(spec: WorkloadSpec) -> dict:
+    """One simulation run; returns the stats summary + run metadata."""
     topology = spec.build_topology()
     cfg = SimConfig(buffer_depth=spec.buffer_depth,
                     cycles_per_step=max(1, spec.cycles_per_step),
@@ -258,7 +252,7 @@ def run_workload(spec: WorkloadSpec, drain: bool | None = None) -> dict:
     deadlocked = False
     try:
         net.run(spec.cycles)
-        if drain:
+        if spec.drain:
             net.traffic = None
             net.run_until_drained(max_cycles=300_000)
     except DeadlockError:
@@ -297,9 +291,8 @@ def _logical_accounting(net: Network) -> dict:
         fields = m.header.fields
         # a retransmission names its originating send in root_id and
         # carries retry_of, so only first sends open a logical message
-        root = int(fields.get("root_id",
-                              fields.get("retry_of", m.header.msg_id)))
-        if "retry_of" not in m.header.fields:
+        root = int(fields.get("root_id", m.header.msg_id))
+        if "retry_of" not in fields:
             roots.add(root)
         if m.delivered:
             delivered.add(root)

@@ -18,7 +18,9 @@ the engines' registers by firing the state rule bases
 ``consider_neighbor_state`` and the internally-emitted
 ``update_dir_table``) in neighbour-exchange waves until the registers
 settle — the paper's wave-like propagation executed by the rule
-machine itself.
+machine itself.  Each wave re-runs only the nodes next to the previous
+changes (``_settle``), and all engines of a network share one compiled
+program and its decision kernels.
 
 On the object engine every decision is a rule interpretation in
 Python.  The batched engine runs the rule machine once per distinct
@@ -28,10 +30,11 @@ part, a per-epoch class table, also keys the C cache), and a decision
 whose conclusion was the ``qbest`` minimum selection carries the
 ``REFRESH_PICK`` hint, which replays that selection over live loads.
 On the benchmark's ``rules_mesh`` workload (8x8 mesh, load 0.15, three
-static link faults) that cuts rule-machine runs from about 7.5k to
-1.4k per draw, makes three quarters of the decisions in C, and more
-than doubles the batched engine's simulated cycles per host second
-(median of five seeds 1028 -> 2242 on a 2-CPU x86-64 host), with
+static link faults) that cuts decision rule-machine runs from about
+7.5k to 1.4k per draw and makes three quarters of the decisions in C.
+With the shared kernels and the worklist fixpoint, a batch of three
+draws takes a median 1.09 s of host time (set-up 0.63 s) and simulates
+5421 cycles per host second (ten seeds on a 2-CPU x86-64 host), with
 identical simulated results.
 The path exists for architectural fidelity and is differentially
 tested against the native algorithm on small meshes.
@@ -50,6 +53,42 @@ from .nara import VN_TERMINAL, assign_virtual_network
 from .rulesets.loader import RULESETS, compile_ruleset, qbest
 
 DELIVER = 4
+
+
+def _settle(network, engines: list[RuleEngine], evaluate) -> None:
+    """Neighbour-exchange waves until every live node's registers
+    settle.  ``evaluate(node)`` runs one node's state rule bases
+    against its neighbours' registers.
+
+    Waves visit the live nodes in index order, at most ``n_nodes + 2``
+    of them, and stop after a wave that changed nothing.  Within a wave
+    only dirty nodes are evaluated: all are dirty at the start, and a
+    node whose registers change marks itself and its topology
+    neighbours dirty (a higher-index neighbour is then evaluated later
+    in the same wave, a lower-index one in the next).  An evaluation
+    depends only on the node's registers, its neighbours' registers and
+    ``known_faults``, so skipping a clean node skips a run that would
+    change nothing: the registers follow the full sweep's exactly.
+    """
+    topo = network.topology
+    live = [n for n in topo.nodes() if network.known_faults.node_ok(n)]
+    dirty = [True] * topo.n_nodes
+    for _ in range(topo.n_nodes + 2):
+        changed = False
+        for node in live:
+            if not dirty[node]:
+                continue
+            dirty[node] = False
+            regs = engines[node].registers
+            before = regs.snapshot()
+            evaluate(node)
+            if regs.snapshot() != before:
+                changed = True
+                dirty[node] = True
+                for nb in topo.neighbors(node):
+                    dirty[nb] = True
+        if not changed:
+            return
 
 
 def _attach_tracers(network, engines: list[RuleEngine]) -> None:
@@ -163,36 +202,29 @@ class RuleDrivenNafta(RoutingAlgorithm):
                         eng.run()
                         eng.drain_external()
         # 2. neighbour-exchange waves until every register settles
-        for _ in range(topo.width * topo.height + 2):
-            changed = False
-            for node in topo.nodes():
-                if not network.known_faults.node_ok(node):
-                    continue
-                eng = self.engines[node]
-                before = eng.registers.snapshot()
-                nnew = {}
-                nrun = {}
-                linkok = {}
-                for dir_ in range(4):
-                    state, run = self._neighbor_view(network, node, dir_)
-                    nnew[(dir_,)] = state
-                    nrun[(dir_,)] = run
-                    port = topo.port(node, dir_)
-                    linkok[(dir_,)] = (
-                        "true" if port is not None
-                        and network.known_faults.link_ok(node, port.neighbor)
-                        else "false")
-                eng.set_inputs({"nnew": nnew, "nrun": nrun,
-                                "linkok": linkok, "fault_kind": 1})
-                for dir_ in range(4):
-                    eng.post("calculate_new_node_state", dir_)
-                    eng.post("consider_neighbor_state", dir_)
-                eng.run()
-                eng.drain_external()
-                if eng.registers.snapshot() != before:
-                    changed = True
-            if not changed:
-                break
+        def exchange(node: int) -> None:
+            eng = self.engines[node]
+            nnew = {}
+            nrun = {}
+            linkok = {}
+            for dir_ in range(4):
+                state, run = self._neighbor_view(network, node, dir_)
+                nnew[(dir_,)] = state
+                nrun[(dir_,)] = run
+                port = topo.port(node, dir_)
+                linkok[(dir_,)] = (
+                    "true" if port is not None
+                    and network.known_faults.link_ok(node, port.neighbor)
+                    else "false")
+            eng.set_inputs({"nnew": nnew, "nrun": nrun,
+                            "linkok": linkok, "fault_kind": 1})
+            for dir_ in range(4):
+                eng.post("calculate_new_node_state", dir_)
+                eng.post("consider_neighbor_state", dir_)
+            eng.run()
+            eng.drain_external()
+
+        _settle(network, self.engines, exchange)
         self._dst_cls = self._premise_classes(topo)
 
     def _premise_classes(self, topo: Mesh2D) -> np.ndarray:
@@ -400,34 +432,28 @@ class RuleDrivenRouteC(RoutingAlgorithm):
         topo = network.topology
         for eng in self.engines:
             eng.reset_state()
-        for _ in range(topo.n_nodes + 2):
-            changed = False
-            for node in topo.nodes():
-                if not network.known_faults.node_ok(node):
-                    continue
-                eng = self.engines[node]
-                before = eng.registers.snapshot()
-                new_state = {}
-                for dim, port in topo.ports(node).items():
-                    nb = port.neighbor
-                    if not network.known_faults.link_ok(node, nb):
-                        new_state[(dim,)] = "lfault"
-                    else:
-                        new_state[(dim,)] = self._reported_state(network, nb)
-                eng.set_inputs({"new_state": new_state, "qload": {},
-                                "up_set": frozenset(),
-                                "down_set": frozenset(),
-                                "usable": frozenset(),
-                                "safe_mask": frozenset(),
-                                "at_dest": "false"})
-                for dim in range(self._d):
-                    eng.post("update_state", dim)
-                eng.run()
-                eng.drain_external()
-                if eng.registers.snapshot() != before:
-                    changed = True
-            if not changed:
-                break
+
+        def exchange(node: int) -> None:
+            eng = self.engines[node]
+            new_state = {}
+            for dim, port in topo.ports(node).items():
+                nb = port.neighbor
+                if not network.known_faults.link_ok(node, nb):
+                    new_state[(dim,)] = "lfault"
+                else:
+                    new_state[(dim,)] = self._reported_state(network, nb)
+            eng.set_inputs({"new_state": new_state, "qload": {},
+                            "up_set": frozenset(),
+                            "down_set": frozenset(),
+                            "usable": frozenset(),
+                            "safe_mask": frozenset(),
+                            "at_dest": "false"})
+            for dim in range(self._d):
+                eng.post("update_state", dim)
+            eng.run()
+            eng.drain_external()
+
+        _settle(network, self.engines, exchange)
 
     def node_state(self, node: int) -> str:
         return self._reported_state(self.network, node)
